@@ -25,7 +25,7 @@ inline constexpr std::size_t kRows = 16;
 
 /// Number of 16-row blocks needed for m rows.
 inline constexpr std::size_t blockCount(std::size_t m) {
-  return (m + kRows - 1) / kRows;
+  return m / kRows + (m % kRows != 0);  // no wrap for m near SIZE_MAX
 }
 
 /// Pack the dense rows of `ds` into the blocked k-major layout

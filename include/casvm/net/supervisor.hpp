@@ -57,6 +57,25 @@ class Supervisor {
     std::vector<std::byte> payload;
   };
 
+  /// What a worker reports in its result frame. The frame payload is
+  /// [error string] unless type is 'R', then [compute, comm, wait seconds
+  /// as f64][board bytes][trace shard bytes] unless type is 'E'.
+  struct Result {
+    char type = 'R';  ///< as Frame::type
+    std::string error;
+    double computeSeconds = 0.0;
+    double commSeconds = 0.0;
+    double waitSeconds = 0.0;
+    std::vector<std::byte> board;  ///< Engine::ResultChannel bytes
+    std::vector<std::byte> shard;  ///< obs::TraceRecorder::encodeShard()
+  };
+
+  /// The complete [type u8][length u64][payload] frame for `result`.
+  static std::vector<std::byte> encodeResult(const Result& result);
+  /// Parse a received frame; throws casvm::Error on an unknown type or a
+  /// malformed payload (the bytes crossed a process boundary).
+  static Result decodeResult(const Frame& frame);
+
   struct RankOutcome {
     bool resolved = false;  ///< a result frame arrived
     int attempts = 0;       ///< respawns used

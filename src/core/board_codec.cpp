@@ -1,128 +1,62 @@
 #include "board_codec.hpp"
 
 #include <cstdint>
-#include <cstring>
 
 #include "casvm/ckpt/state.hpp"
-#include "casvm/support/error.hpp"
+#include "casvm/support/bytes.hpp"
 
 namespace casvm::core::detail {
 
-namespace {
-
-template <typename T>
-void putScalar(std::vector<std::byte>& out, T v) {
-  static_assert(std::is_trivially_copyable_v<T>);
-  const std::size_t off = out.size();
-  out.resize(off + sizeof v);
-  std::memcpy(out.data() + off, &v, sizeof v);
-}
-
-void putBlob(std::vector<std::byte>& out, const std::vector<std::byte>& blob) {
-  putScalar(out, static_cast<std::uint64_t>(blob.size()));
-  out.insert(out.end(), blob.begin(), blob.end());
-}
-
-template <typename T>
-void putVec(std::vector<std::byte>& out, const std::vector<T>& v) {
-  static_assert(std::is_trivially_copyable_v<T>);
-  putScalar(out, static_cast<std::uint64_t>(v.size()));
-  const std::size_t off = out.size();
-  out.resize(off + v.size() * sizeof(T));
-  if (!v.empty()) {
-    std::memcpy(out.data() + off, v.data(), v.size() * sizeof(T));
-  }
-}
-
-struct Cursor {
-  const std::vector<std::byte>& buf;
-  std::size_t off = 0;
-
-  template <typename T>
-  T scalar() {
-    static_assert(std::is_trivially_copyable_v<T>);
-    CASVM_CHECK(off + sizeof(T) <= buf.size(), "board slot payload truncated");
-    T v;
-    std::memcpy(&v, buf.data() + off, sizeof v);
-    off += sizeof v;
-    return v;
-  }
-
-  std::vector<std::byte> blob() {
-    const auto len = scalar<std::uint64_t>();
-    CASVM_CHECK(off + len <= buf.size(), "board slot payload truncated");
-    std::vector<std::byte> b(buf.begin() + static_cast<std::ptrdiff_t>(off),
-                             buf.begin() +
-                                 static_cast<std::ptrdiff_t>(off + len));
-    off += len;
-    return b;
-  }
-
-  template <typename T>
-  std::vector<T> vec() {
-    static_assert(std::is_trivially_copyable_v<T>);
-    const auto len = scalar<std::uint64_t>();
-    CASVM_CHECK(off + len * sizeof(T) <= buf.size(),
-                "board slot payload truncated");
-    std::vector<T> v(len);
-    if (len > 0) std::memcpy(v.data(), buf.data() + off, len * sizeof(T));
-    off += len * sizeof(T);
-    return v;
-  }
-};
-
-}  // namespace
-
 std::vector<std::byte> encodeBoardSlot(const RankBoard& board, int rank) {
   const auto r = static_cast<std::size_t>(rank);
-  std::vector<std::byte> out;
+  support::ByteWriter w;
 
   // The model rides the checkpoint layer's exact sub-model codec.
   ckpt::SubModelState sub;
   sub.model = board.models[r];
   sub.iterations = board.iterations[r];
   sub.svs = board.svs[r];
-  putBlob(out, ckpt::encodeSubModel(sub));
+  w.vec(ckpt::encodeSubModel(sub));
 
-  putVec(out, board.alphas[r]);
-  putVec(out, board.centers[r]);
-  putScalar(out, board.samples[r]);
-  putScalar(out, board.positives[r]);
-  putScalar(out, board.initEndVirtual[r]);
-  putScalar(out, board.trainEndVirtual[r]);
-  putScalar(out, static_cast<std::uint64_t>(board.kmeansLoops[r]));
+  w.vec(board.alphas[r]);
+  w.vec(board.centers[r]);
+  w.scalar(board.samples[r]);
+  w.scalar(board.positives[r]);
+  w.scalar(board.initEndVirtual[r]);
+  w.scalar(board.trainEndVirtual[r]);
+  w.scalar(static_cast<std::uint64_t>(board.kmeansLoops[r]));
 
   const auto& layers = board.layerRecords[r];
-  putScalar(out, static_cast<std::uint64_t>(layers.size()));
+  w.scalar(static_cast<std::uint64_t>(layers.size()));
   for (const RankBoard::LayerRecord& rec : layers) {
-    putScalar(out, static_cast<std::int32_t>(rec.layer));
-    putScalar(out, rec.samples);
-    putScalar(out, rec.iterations);
-    putScalar(out, rec.svs);
-    putScalar(out, rec.seconds);
+    w.scalar(static_cast<std::int32_t>(rec.layer));
+    w.scalar(rec.samples);
+    w.scalar(rec.iterations);
+    w.scalar(rec.svs);
+    w.scalar(rec.seconds);
   }
 
-  putScalar(out, static_cast<std::int32_t>(board.retries[r]));
-  putScalar(out, static_cast<std::uint8_t>(board.recovered[r]));
-  putScalar(out, board.checkpointsLoaded[r]);
-  putScalar(out, board.auxIterations[r]);
-  putScalar(out, board.shrinkEngagedIter[r]);
-  putScalar(out, board.rowBcastsSkipped[r]);
+  w.scalar(static_cast<std::int32_t>(board.retries[r]));
+  w.scalar(static_cast<std::uint8_t>(board.recovered[r]));
+  w.scalar(board.checkpointsLoaded[r]);
+  w.scalar(board.auxIterations[r]);
+  w.scalar(board.shrinkEngagedIter[r]);
+  w.scalar(board.rowBcastsSkipped[r]);
 
   // The init/train-boundary traffic snapshot (rank 0 fills it inside the
   // instrumentation fence; everyone else ships an empty one).
-  putScalar(out, static_cast<std::int32_t>(board.initSnapshot.size));
-  putVec(out, board.initSnapshot.bytes);
-  putVec(out, board.initSnapshot.ops);
-  return out;
+  w.scalar(static_cast<std::int32_t>(board.initSnapshot.size));
+  w.vec(board.initSnapshot.bytes);
+  w.vec(board.initSnapshot.ops);
+  return w.take();
 }
 
 void absorbBoardSlot(RankBoard& board, int rank,
-                     const std::vector<std::byte>& bytes) {
+                     std::span<const std::byte> bytes) {
   const auto r = static_cast<std::size_t>(rank);
-  Cursor cur{bytes};
+  support::ByteReader cur(bytes, "board slot");
 
-  const ckpt::SubModelState sub = ckpt::decodeSubModel(cur.blob());
+  const ckpt::SubModelState sub = ckpt::decodeSubModel(cur.bytes());
   board.models[r] = sub.model;
   board.iterations[r] = sub.iterations;
   board.svs[r] = sub.svs;
@@ -139,7 +73,6 @@ void absorbBoardSlot(RankBoard& board, int rank,
   const auto layerCount = cur.scalar<std::uint64_t>();
   auto& layers = board.layerRecords[r];
   layers.clear();
-  layers.reserve(layerCount);
   for (std::uint64_t i = 0; i < layerCount; ++i) {
     RankBoard::LayerRecord rec;
     rec.layer = cur.scalar<std::int32_t>();
@@ -164,7 +97,7 @@ void absorbBoardSlot(RankBoard& board, int rank,
   snap.bytes = cur.vec<std::size_t>();
   snap.ops = cur.vec<std::size_t>();
   if (snap.size > 0) board.initSnapshot = std::move(snap);
-  CASVM_CHECK(cur.off == bytes.size(), "board slot payload has trailing bytes");
+  cur.expectEnd();
 }
 
 }  // namespace casvm::core::detail

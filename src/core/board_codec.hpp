@@ -9,6 +9,7 @@
 // thread backend's.
 
 #include <cstddef>
+#include <span>
 #include <vector>
 
 #include "casvm/core/spmd.hpp"
@@ -22,6 +23,6 @@ std::vector<std::byte> encodeBoardSlot(const RankBoard& board, int rank);
 /// Unpack a worker's slot bytes into the parent-side board. Throws
 /// casvm::Error on a malformed payload.
 void absorbBoardSlot(RankBoard& board, int rank,
-                     const std::vector<std::byte>& bytes);
+                     std::span<const std::byte> bytes);
 
 }  // namespace casvm::core::detail

@@ -1,12 +1,12 @@
 #include "casvm/core/multiclass.hpp"
 
 #include <algorithm>
-#include <cstring>
-#include <fstream>
 #include <map>
 #include <memory>
 #include <set>
 
+#include "casvm/support/atomic_file.hpp"
+#include "casvm/support/bytes.hpp"
 #include "casvm/support/error.hpp"
 #include "methods.hpp"
 
@@ -60,79 +60,40 @@ double MulticlassModel::accuracy(const data::Dataset& ds,
 }
 
 std::vector<std::byte> MulticlassModel::pack() const {
-  std::vector<std::byte> out;
-  auto append = [&out](const void* data, std::size_t bytes) {
-    const std::size_t off = out.size();
-    out.resize(off + bytes);
-    std::memcpy(out.data() + off, data, bytes);
-  };
-  const std::uint64_t numClasses = classes_.size();
-  append(&numClasses, sizeof(numClasses));
-  append(classes_.data(), classes_.size() * sizeof(int));
-  const std::uint64_t numPairs = pairs_.size();
-  append(&numPairs, sizeof(numPairs));
+  support::ByteWriter w;
+  w.vec(classes_);
+  w.scalar<std::uint64_t>(pairs_.size());
   for (const Pair& pair : pairs_) {
-    append(&pair.positiveClass, sizeof(int));
-    append(&pair.negativeClass, sizeof(int));
-    const std::vector<std::byte> bytes = pair.model.pack();
-    const std::uint64_t len = bytes.size();
-    append(&len, sizeof(len));
-    append(bytes.data(), bytes.size());
+    w.scalar(pair.positiveClass);
+    w.scalar(pair.negativeClass);
+    w.vec(pair.model.pack());
   }
-  return out;
+  return w.take();
 }
 
 MulticlassModel MulticlassModel::unpack(std::span<const std::byte> bytes) {
-  auto read = [&bytes](void* data, std::size_t count) {
-    CASVM_CHECK(bytes.size() >= count, "multiclass unpack: truncated");
-    std::memcpy(data, bytes.data(), count);
-    bytes = bytes.subspan(count);
-  };
-  std::uint64_t numClasses = 0;
-  read(&numClasses, sizeof(numClasses));
-  CASVM_CHECK(numClasses <= bytes.size() / sizeof(int),
-              "multiclass unpack: class count exceeds payload");
-  std::vector<int> classes(numClasses);
-  read(classes.data(), numClasses * sizeof(int));
-  std::uint64_t numPairs = 0;
-  read(&numPairs, sizeof(numPairs));
-  CASVM_CHECK(numPairs <= bytes.size() / sizeof(std::uint64_t),
-              "multiclass unpack: pair count exceeds payload");
+  support::ByteReader in(bytes, "multiclass unpack");
+  std::vector<int> classes = in.vec<int>();
+  const auto numPairs = in.scalar<std::uint64_t>();
   std::vector<Pair> pairs;
-  pairs.reserve(numPairs);
   for (std::uint64_t p = 0; p < numPairs; ++p) {
     Pair pair;
-    read(&pair.positiveClass, sizeof(int));
-    read(&pair.negativeClass, sizeof(int));
-    std::uint64_t len = 0;
-    read(&len, sizeof(len));
-    CASVM_CHECK(bytes.size() >= len, "multiclass unpack: truncated");
-    pair.model = DistributedModel::unpack(bytes.subspan(0, len));
-    bytes = bytes.subspan(len);
+    pair.positiveClass = in.scalar<int>();
+    pair.negativeClass = in.scalar<int>();
+    pair.model = DistributedModel::unpack(in.bytes());
     pairs.push_back(std::move(pair));
   }
-  CASVM_CHECK(bytes.empty(), "multiclass unpack: trailing bytes");
+  in.expectEnd();
   return MulticlassModel(std::move(classes), std::move(pairs));
 }
 
 void MulticlassModel::save(const std::string& path) const {
-  std::ofstream out(path, std::ios::binary);
-  CASVM_CHECK(out.good(), "cannot open model file for writing: " + path);
-  const std::vector<std::byte> bytes = pack();
-  out.write(reinterpret_cast<const char*>(bytes.data()),
-            static_cast<std::streamsize>(bytes.size()));
-  CASVM_CHECK(out.good(), "model write failed: " + path);
+  // Atomic temp-file + rename, like Model::save: never a truncated file.
+  support::writeFileAtomic(path, std::span<const std::byte>(pack()));
 }
 
 MulticlassModel MulticlassModel::load(const std::string& path) {
-  std::ifstream in(path, std::ios::binary | std::ios::ate);
-  CASVM_CHECK(in.good(), "cannot open model file: " + path);
-  const std::streamsize size = in.tellg();
-  in.seekg(0);
-  std::vector<std::byte> bytes(static_cast<std::size_t>(size));
-  in.read(reinterpret_cast<char*>(bytes.data()), size);
-  CASVM_CHECK(in.good(), "model read failed: " + path);
-  return unpack(bytes);
+  return unpack(support::readFileBytes(path));
 }
 
 namespace {

@@ -1,8 +1,8 @@
 #include "casvm/data/dataset.hpp"
 
 #include <algorithm>
-#include <cstring>
 
+#include "casvm/support/bytes.hpp"
 #include "casvm/support/error.hpp"
 
 namespace casvm::data {
@@ -13,30 +13,6 @@ void checkLabels(const std::vector<std::int8_t>& labels) {
   for (std::int8_t y : labels) {
     CASVM_CHECK(y == 1 || y == -1, "labels must be +1 or -1");
   }
-}
-
-// Wire header for pack()/unpack().
-struct WireHeader {
-  std::uint8_t storage;
-  std::uint64_t rows;
-  std::uint64_t cols;
-  std::uint64_t nnz;  // only meaningful for sparse
-};
-
-template <class T>
-void appendPod(std::vector<std::byte>& out, const T* data, std::size_t count) {
-  const std::size_t bytes = count * sizeof(T);
-  const std::size_t off = out.size();
-  out.resize(off + bytes);
-  if (bytes > 0) std::memcpy(out.data() + off, data, bytes);
-}
-
-template <class T>
-void readPod(std::span<const std::byte>& in, T* data, std::size_t count) {
-  const std::size_t bytes = count * sizeof(T);
-  CASVM_CHECK(in.size() >= bytes, "unpack: truncated payload");
-  if (bytes > 0) std::memcpy(data, in.data(), bytes);
-  in = in.subspan(bytes);
 }
 
 }  // namespace
@@ -258,34 +234,41 @@ Dataset Dataset::relabel(Dataset ds, std::vector<std::int8_t> labels) {
 }
 
 std::vector<std::byte> Dataset::pack(std::span<const std::size_t> idx) const {
-  std::vector<std::byte> out;
-  WireHeader header{};
-  header.storage = static_cast<std::uint8_t>(storage_);
-  header.rows = idx.size();
-  header.cols = cols_;
-
-  if (storage_ == Storage::Dense) {
-    header.nnz = idx.size() * cols_;
-    appendPod(out, &header, 1);
-    for (std::size_t i : idx) appendPod(out, &labels_[i], 1);
-    for (std::size_t i : idx) {
-      appendPod(out, dense_.data() + i * cols_, cols_);
-    }
-    return out;
+  // Header: storage u8, 7 zero bytes, then rows, cols, nnz as u64 (the
+  // layout of the 32-byte struct this format was first written from).
+  const bool dense = storage_ == Storage::Dense;
+  std::uint64_t nnz = dense ? idx.size() * cols_ : 0;
+  if (!dense) {
+    for (std::size_t i : idx) nnz += rowPtr_[i + 1] - rowPtr_[i];
   }
-
-  std::uint64_t nnz = 0;
-  for (std::size_t i : idx) nnz += rowPtr_[i + 1] - rowPtr_[i];
-  header.nnz = nnz;
-  appendPod(out, &header, 1);
-  for (std::size_t i : idx) appendPod(out, &labels_[i], 1);
+  support::ByteWriter w;
+  w.reserve(32 + idx.size() +
+            (dense ? nnz * sizeof(float)
+                   : idx.size() * sizeof(std::uint64_t) +
+                         nnz * (sizeof(std::uint32_t) + sizeof(float))));
+  w.scalar(static_cast<std::uint8_t>(storage_));
+  w.pad(7);
+  w.scalar<std::uint64_t>(idx.size());
+  w.scalar<std::uint64_t>(cols_);
+  w.scalar(nnz);
+  std::byte* labels = w.extend(idx.size());
+  for (std::size_t k = 0; k < idx.size(); ++k) {
+    labels[k] = static_cast<std::byte>(labels_[idx[k]]);
+  }
+  const std::span<const float> denseRows(dense_);
+  const std::span<const std::uint32_t> cols(colIdx_);
+  const std::span<const float> vals(sparseVals_);
   for (std::size_t i : idx) {
+    if (dense) {
+      w.raw(denseRows.subspan(i * cols_, cols_));
+      continue;
+    }
     const std::uint64_t len = rowPtr_[i + 1] - rowPtr_[i];
-    appendPod(out, &len, 1);
-    appendPod(out, colIdx_.data() + rowPtr_[i], len);
-    appendPod(out, sparseVals_.data() + rowPtr_[i], len);
+    w.scalar(len);
+    w.raw(cols.subspan(rowPtr_[i], len));
+    w.raw(vals.subspan(rowPtr_[i], len));
   }
-  return out;
+  return w.take();
 }
 
 std::vector<std::byte> Dataset::packAll() const {
@@ -295,36 +278,34 @@ std::vector<std::byte> Dataset::packAll() const {
 }
 
 Dataset Dataset::unpack(std::span<const std::byte> bytes) {
-  WireHeader header{};
-  readPod(bytes, &header, 1);
-  const std::size_t m = header.rows;
-  const std::size_t n = header.cols;
-  std::vector<std::int8_t> labels(m);
-  readPod(bytes, labels.data(), m);
+  support::ByteReader in(bytes, "dataset unpack");
+  const auto storage = in.scalar<std::uint8_t>();
+  in.pad(7);
+  const auto m = in.scalar<std::uint64_t>();
+  const auto n = in.scalar<std::uint64_t>();
+  const auto nnz = in.scalar<std::uint64_t>();
+  std::vector<std::int8_t> labels = in.array<std::int8_t>(m);
 
-  if (header.storage == static_cast<std::uint8_t>(Storage::Dense)) {
-    std::vector<float> values(m * n);
-    readPod(bytes, values.data(), m * n);
-    CASVM_CHECK(bytes.empty(), "unpack: trailing bytes");
+  if (storage == static_cast<std::uint8_t>(Storage::Dense)) {
+    std::vector<float> values = in.array<float>(in.product(m, n));
+    in.expectEnd();
     return fromDense(n, std::move(values), std::move(labels));
   }
 
+  // nnz only sizes the reservations, so it must fit what is left first.
+  in.checkCount(nnz, sizeof(std::uint32_t) + sizeof(float));
   std::vector<std::size_t> rowPtr{0};
   std::vector<std::uint32_t> colIdx;
   std::vector<float> values;
-  colIdx.reserve(header.nnz);
-  values.reserve(header.nnz);
+  colIdx.reserve(nnz);
+  values.reserve(nnz);
   for (std::size_t i = 0; i < m; ++i) {
-    std::uint64_t len = 0;
-    readPod(bytes, &len, 1);
-    const std::size_t off = colIdx.size();
-    colIdx.resize(off + len);
-    values.resize(off + len);
-    readPod(bytes, colIdx.data() + off, len);
-    readPod(bytes, values.data() + off, len);
+    const auto len = in.scalar<std::uint64_t>();
+    in.appendTo(colIdx, len);
+    in.appendTo(values, len);
     rowPtr.push_back(colIdx.size());
   }
-  CASVM_CHECK(bytes.empty(), "unpack: trailing bytes");
+  in.expectEnd();
   return fromSparse(n, std::move(rowPtr), std::move(colIdx), std::move(values),
                     std::move(labels));
 }

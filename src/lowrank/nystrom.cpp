@@ -2,10 +2,10 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstring>
 #include <numeric>
 
 #include "casvm/kernel/tile_kernel.hpp"
+#include "casvm/support/bytes.hpp"
 #include "casvm/support/error.hpp"
 
 namespace casvm::lowrank {
@@ -263,74 +263,34 @@ double NystromFactor::zdot(std::size_t i, std::span<const double> z) const {
   return acc;
 }
 
-namespace {
-
-void appendRaw(std::vector<std::byte>& out, const void* data,
-               std::size_t bytes) {
-  const std::size_t at = out.size();
-  out.resize(at + bytes);
-  std::memcpy(out.data() + at, data, bytes);
-}
-
-template <class T>
-void appendScalar(std::vector<std::byte>& out, T value) {
-  appendRaw(out, &value, sizeof(T));
-}
-
-template <class T>
-T readScalar(std::span<const std::byte> bytes, std::size_t& at) {
-  CASVM_CHECK(at + sizeof(T) <= bytes.size(),
-              "nystrom decode: truncated payload");
-  T value;
-  std::memcpy(&value, bytes.data() + at, sizeof(T));
-  at += sizeof(T);
-  return value;
-}
-
-template <class T>
-std::vector<T> readVec(std::span<const std::byte> bytes, std::size_t& at,
-                       std::size_t count) {
-  CASVM_CHECK(count <= (bytes.size() - at) / sizeof(T),
-              "nystrom decode: truncated payload");
-  std::vector<T> v(count);
-  std::memcpy(v.data(), bytes.data() + at, count * sizeof(T));
-  at += count * sizeof(T);
-  return v;
-}
-
-}  // namespace
-
 std::vector<std::byte> NystromFactor::encode() const {
-  std::vector<std::byte> out;
-  const std::uint64_t L = landmarks_.count();
-  appendScalar<std::uint64_t>(out, m_);
-  appendScalar<std::uint64_t>(out, r_);
-  appendScalar<std::uint64_t>(out, L);
-  appendScalar<std::uint64_t>(out, landmarks_.features);
-  appendRaw(out, landmarks_.rows.data(),
-            landmarks_.rows.size() * sizeof(float));
-  appendRaw(out, landmarks_.selfDots.data(),
-            landmarks_.selfDots.size() * sizeof(double));
-  appendRaw(out, w_.data(), w_.size() * sizeof(double));
-  appendRaw(out, tiles_.data(), tiles_.size() * sizeof(float));
-  return out;
+  support::ByteWriter w;
+  w.scalar<std::uint64_t>(m_);
+  w.scalar<std::uint64_t>(r_);
+  w.scalar<std::uint64_t>(landmarks_.count());
+  w.scalar<std::uint64_t>(landmarks_.features);
+  w.raw(landmarks_.rows);
+  w.raw(landmarks_.selfDots);
+  w.raw(w_);
+  w.raw(tiles_);
+  return w.take();
 }
 
 NystromFactor NystromFactor::decode(std::span<const std::byte> bytes) {
-  std::size_t at = 0;
+  support::ByteReader in(bytes, "nystrom decode");
   NystromFactor f;
-  f.m_ = readScalar<std::uint64_t>(bytes, at);
-  f.r_ = readScalar<std::uint64_t>(bytes, at);
-  const std::uint64_t L = readScalar<std::uint64_t>(bytes, at);
-  f.landmarks_.features = readScalar<std::uint64_t>(bytes, at);
+  f.m_ = in.scalar<std::uint64_t>();
+  f.r_ = in.scalar<std::uint64_t>();
+  const auto L = in.scalar<std::uint64_t>();
+  f.landmarks_.features = in.scalar<std::uint64_t>();
   CASVM_CHECK(f.r_ > 0 && L > 0, "nystrom decode: degenerate shape");
-  f.landmarks_.rows = readVec<float>(bytes, at, L * f.landmarks_.features);
-  f.landmarks_.selfDots = readVec<double>(bytes, at, L);
-  f.w_ = readVec<double>(bytes, at, L * f.r_);
-  f.tiles_ = readVec<float>(
-      bytes, at,
-      kernel::tile::blockCount(f.m_) * f.r_ * kernel::tile::kRows);
-  CASVM_CHECK(at == bytes.size(), "nystrom decode: trailing bytes");
+  f.landmarks_.rows =
+      in.array<float>(in.product(L, f.landmarks_.features));
+  f.landmarks_.selfDots = in.array<double>(L);
+  f.w_ = in.array<double>(in.product(L, f.r_));
+  f.tiles_ = in.array<float>(in.product(
+      in.product(kernel::tile::blockCount(f.m_), f.r_), kernel::tile::kRows));
+  in.expectEnd();
   f.xd_.resize(f.r_);
   return f;
 }

@@ -4,7 +4,6 @@
 #include <chrono>
 #include <condition_variable>
 #include <cstdint>
-#include <cstring>
 #include <mutex>
 #include <optional>
 #include <sstream>
@@ -271,82 +270,6 @@ RunStats Engine::runThread(const std::function<void(Comm&)>& fn) {
 
 // --- proc backend -----------------------------------------------------------
 
-namespace {
-
-// Result-frame payload codec. A worker packs its outcome into a byte
-// payload (doubles and u64-length-prefixed blobs), the supervisor parses
-// it back; every read is bounds-checked because the bytes crossed a
-// process boundary.
-
-void putF64(std::vector<std::byte>& out, double v) {
-  const std::size_t off = out.size();
-  out.resize(off + sizeof v);
-  std::memcpy(out.data() + off, &v, sizeof v);
-}
-
-void putBlob(std::vector<std::byte>& out, const std::vector<std::byte>& blob) {
-  const std::uint64_t len = blob.size();
-  const std::size_t off = out.size();
-  out.resize(off + sizeof len + blob.size());
-  std::memcpy(out.data() + off, &len, sizeof len);
-  if (!blob.empty()) {
-    std::memcpy(out.data() + off + sizeof len, blob.data(), blob.size());
-  }
-}
-
-void putStr(std::vector<std::byte>& out, const std::string& s) {
-  std::vector<std::byte> blob(s.size());
-  if (!s.empty()) std::memcpy(blob.data(), s.data(), s.size());
-  putBlob(out, blob);
-}
-
-struct FrameCursor {
-  const std::vector<std::byte>& buf;
-  std::size_t off = 0;
-
-  double f64() {
-    CASVM_CHECK(off + sizeof(double) <= buf.size(),
-                "worker result frame truncated");
-    double v = 0.0;
-    std::memcpy(&v, buf.data() + off, sizeof v);
-    off += sizeof v;
-    return v;
-  }
-
-  std::vector<std::byte> blob() {
-    CASVM_CHECK(off + sizeof(std::uint64_t) <= buf.size(),
-                "worker result frame truncated");
-    std::uint64_t len = 0;
-    std::memcpy(&len, buf.data() + off, sizeof len);
-    off += sizeof len;
-    CASVM_CHECK(off + len <= buf.size(), "worker result frame truncated");
-    std::vector<std::byte> b(buf.begin() + static_cast<std::ptrdiff_t>(off),
-                             buf.begin() +
-                                 static_cast<std::ptrdiff_t>(off + len));
-    off += len;
-    return b;
-  }
-
-  std::string str() {
-    const std::vector<std::byte> b = blob();
-    return std::string(reinterpret_cast<const char*>(b.data()), b.size());
-  }
-};
-
-/// One complete [type u8][len u64][payload] frame on the result pipe.
-void writeFrame(int fd, char type, const std::vector<std::byte>& payload) {
-  std::vector<std::byte> wire(1 + sizeof(std::uint64_t) + payload.size());
-  wire[0] = static_cast<std::byte>(type);
-  const std::uint64_t len = payload.size();
-  std::memcpy(wire.data() + 1, &len, sizeof len);
-  if (!payload.empty()) {
-    std::memcpy(wire.data() + 1 + sizeof len, payload.data(), payload.size());
-  }
-  support::writeFull(fd, wire.data(), wire.size());
-}
-
-}  // namespace
-
 RunStats Engine::runProc(const std::function<void(Comm&)>& fn) {
   ProcTransport transport(size_, tuning_);
   Supervisor::Options opts;
@@ -388,8 +311,7 @@ RunStats Engine::runProc(const std::function<void(Comm&)>& fn) {
     Comm comm(&world, rank, &clock);
     comm.setTraceLane(lane);
 
-    char type = 'R';
-    std::string errorMsg;
+    Supervisor::Result result;
     try {
       if (attempt == 0) {
         fn(comm);
@@ -399,33 +321,31 @@ RunStats Engine::runProc(const std::function<void(Comm&)>& fn) {
       clock.sampleCompute();
     } catch (const RankCrash& e) {
       clock.sampleCompute();
-      errorMsg = e.what();
+      result.error = e.what();
       if (tolerateRankFailures_) {
-        type = 'C';
-        world.markFailed(rank, errorMsg);
+        result.type = 'C';
+        world.markFailed(rank, result.error);
       } else {
-        type = 'E';
+        result.type = 'E';
         world.abortAll();
       }
     } catch (const std::exception& e) {
-      type = 'E';
-      errorMsg = e.what();
+      result.type = 'E';
+      result.error = e.what();
       world.abortAll();
     }
 
-    std::vector<std::byte> payload;
-    if (type != 'R') putStr(payload, errorMsg);
-    if (type != 'E') {
-      putF64(payload, clock.computeSeconds());
-      putF64(payload, clock.commSeconds());
-      putF64(payload, clock.waitSeconds());
-      putBlob(payload, resultChannel_.serialize
-                           ? resultChannel_.serialize(rank)
-                           : std::vector<std::byte>{});
-      putBlob(payload, trace_ != nullptr ? localTrace.encodeShard()
-                                         : std::vector<std::byte>{});
+    if (result.type != 'E') {
+      result.computeSeconds = clock.computeSeconds();
+      result.commSeconds = clock.commSeconds();
+      result.waitSeconds = clock.waitSeconds();
+      if (resultChannel_.serialize) {
+        result.board = resultChannel_.serialize(rank);
+      }
+      if (trace_ != nullptr) result.shard = localTrace.encodeShard();
     }
-    writeFrame(resultFd, type, payload);
+    const std::vector<std::byte> frame = Supervisor::encodeResult(result);
+    support::writeFull(resultFd, frame.data(), frame.size());
     transport.detachWorker();
   };
 
@@ -457,25 +377,20 @@ RunStats Engine::runProc(const std::function<void(Comm&)>& fn) {
       }
       continue;
     }
-    FrameCursor cur{o.frame.payload};
-    if (o.frame.type == 'E') {
-      errors[i] = cur.str();
+    const Supervisor::Result res = Supervisor::decodeResult(o.frame);
+    if (res.type == 'E') {
+      errors[i] = res.error;
       failed = true;
       continue;
     }
-    CASVM_CHECK(o.frame.type == 'R' || o.frame.type == 'C',
-                "worker result frame has unknown type '" +
-                    std::string(1, o.frame.type) + "'");
-    if (o.frame.type == 'C') crashes[i] = RankFailure{r, cur.str()};
-    computeSeconds[i] = cur.f64();
-    commSeconds[i] = cur.f64();
-    waitSeconds[i] = cur.f64();
-    const std::vector<std::byte> board = cur.blob();
-    const std::vector<std::byte> shard = cur.blob();
-    if (resultChannel_.absorb && !board.empty()) {
-      resultChannel_.absorb(r, board);
+    if (res.type == 'C') crashes[i] = RankFailure{r, res.error};
+    computeSeconds[i] = res.computeSeconds;
+    commSeconds[i] = res.commSeconds;
+    waitSeconds[i] = res.waitSeconds;
+    if (resultChannel_.absorb && !res.board.empty()) {
+      resultChannel_.absorb(r, res.board);
     }
-    if (trace_ != nullptr && !shard.empty()) trace_->absorbShard(shard);
+    if (trace_ != nullptr && !res.shard.empty()) trace_->absorbShard(res.shard);
   }
 
   if (failed) {

@@ -13,6 +13,7 @@
 #include <thread>
 
 #include "casvm/net/proc_transport.hpp"
+#include "casvm/support/bytes.hpp"
 #include "casvm/support/error.hpp"
 #include "casvm/support/posix.hpp"
 
@@ -124,16 +125,51 @@ void Supervisor::drainPipe(Worker& w) {
     break;
   }
   if (w.resolved || w.buf.size() < kFrameHeader) return;
-  std::uint64_t len = 0;
-  std::memcpy(&len, w.buf.data() + 1, 8);
-  if (w.buf.size() < kFrameHeader + len) return;
-  w.frame.type = static_cast<char>(w.buf[0]);
-  w.frame.payload.assign(w.buf.begin() + kFrameHeader,
-                         w.buf.begin() + kFrameHeader +
-                             static_cast<std::ptrdiff_t>(len));
+  support::ByteReader in(w.buf, "worker result frame");
+  const auto type = in.scalar<char>();
+  const auto len = in.scalar<std::uint64_t>();
+  if (len > in.remaining()) return;  // the rest of the frame is in flight
+  w.frame.type = type;
+  w.frame.payload = in.array<std::byte>(len);
   w.resolved = true;
   log("rank " + std::to_string(w.rank) + ": result frame '" +
       std::string(1, w.frame.type) + "' (" + std::to_string(len) + " bytes)");
+}
+
+std::vector<std::byte> Supervisor::encodeResult(const Result& result) {
+  support::ByteWriter payload;
+  if (result.type != 'R') payload.vec(result.error);
+  if (result.type != 'E') {
+    payload.scalar(result.computeSeconds);
+    payload.scalar(result.commSeconds);
+    payload.scalar(result.waitSeconds);
+    payload.vec(result.board);
+    payload.vec(result.shard);
+  }
+  support::ByteWriter frame;
+  frame.reserve(kFrameHeader + payload.size());
+  frame.scalar(result.type);
+  frame.vec(payload.take());
+  return frame.take();
+}
+
+Supervisor::Result Supervisor::decodeResult(const Frame& frame) {
+  CASVM_CHECK(frame.type == 'R' || frame.type == 'C' || frame.type == 'E',
+              "worker result frame has unknown type '" +
+                  std::string(1, frame.type) + "'");
+  support::ByteReader in(frame.payload, "worker result frame");
+  Result out;
+  out.type = frame.type;
+  if (out.type != 'R') out.error = in.string();
+  if (out.type != 'E') {
+    out.computeSeconds = in.scalar<double>();
+    out.commSeconds = in.scalar<double>();
+    out.waitSeconds = in.scalar<double>();
+    out.board = in.vec<std::byte>();
+    out.shard = in.vec<std::byte>();
+  }
+  in.expectEnd();
+  return out;
 }
 
 void Supervisor::handleDeath(Worker& w, int status) {

@@ -15,6 +15,14 @@ data::Dataset pair() {
   return data::Dataset::fromDense(2, {1.0f, 2.0f, 3.0f, -1.0f}, {1, -1});
 }
 
+/// The families the property suites run over. gtest lists a parameter that
+/// has no printer as its raw bytes, padding included; values in static
+/// storage have zeroed padding, so the listed test names are the same on
+/// every run (temporaries would leak stack garbage into them).
+const KernelParams kFamilies[] = {
+    KernelParams::linear(), KernelParams::gaussian(0.3),
+    KernelParams::polynomial(0.5, 1.0, 2), KernelParams::sigmoid(0.1, 0.0)};
+
 TEST(KernelValueTest, Linear) {
   const Kernel k(KernelParams::linear());
   EXPECT_DOUBLE_EQ(k.eval(pair(), 0, 1), 1.0);  // 1*3 + 2*(-1)
@@ -113,9 +121,7 @@ TEST_P(KernelPropertyTest, CrossEvalMatchesWithinDataset) {
 
 INSTANTIATE_TEST_SUITE_P(
     Families, KernelPropertyTest,
-    ::testing::Values(KernelParams::linear(), KernelParams::gaussian(0.3),
-                      KernelParams::polynomial(0.5, 1.0, 2),
-                      KernelParams::sigmoid(0.1, 0.0)),
+    ::testing::ValuesIn(kFamilies),
     [](const ::testing::TestParamInfo<KernelParams>& info) {
       return kernelName(info.param.type);
     });
@@ -232,9 +238,7 @@ TEST_P(KernelRowPropertyTest, WorkspaceRebindsAcrossDatasets) {
 
 INSTANTIATE_TEST_SUITE_P(
     Families, KernelRowPropertyTest,
-    ::testing::Values(KernelParams::linear(), KernelParams::gaussian(0.3),
-                      KernelParams::polynomial(0.5, 1.0, 2),
-                      KernelParams::sigmoid(0.1, 0.0)),
+    ::testing::ValuesIn(kFamilies),
     [](const ::testing::TestParamInfo<KernelParams>& info) {
       return kernelName(info.param.type);
     });

@@ -24,6 +24,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstring>
+#include <ostream>
 #include <random>
 #include <vector>
 
@@ -342,6 +343,13 @@ struct AccuracyCase {
   bool sparse;
   double maxDelta;  ///< allowed held-out accuracy loss vs the exact solve
 };
+
+/// gtest would otherwise list the case as its raw bytes, which hold the
+/// tag's address and so change with every run's address-space layout.
+void PrintTo(const AccuracyCase& ac, std::ostream* os) {
+  *os << ac.kernelTag << (ac.sparse ? " csr" : " dense") << ", maxDelta "
+      << ac.maxDelta;
+}
 
 kernel::KernelParams kernelFor(const std::string& tag) {
   if (tag == "linear") return kernel::KernelParams::linear();

@@ -12,7 +12,11 @@
 #include <vector>
 
 #include "casvm/net/comm.hpp"
+#include "casvm/net/proc_transport.hpp"
+#include "casvm/net/supervisor.hpp"
+#include "casvm/support/bytes.hpp"
 #include "casvm/support/error.hpp"
+#include "casvm/support/posix.hpp"
 
 namespace casvm::net {
 namespace {
@@ -47,6 +51,28 @@ TEST(ProcTransportTest, RecvFromSilentPeerTimesOutWithNamedError) {
     EXPECT_NE(what.find("rank 0"), std::string::npos) << what;
     EXPECT_NE(what.find("supervisor log"), std::string::npos) << what;
   }
+}
+
+TEST(ProcTransportTest, ResultLengthNearU64MaxIsNeverAFrame) {
+  // `header + length` must not wrap into "the frame is complete" and copy
+  // far past the pipe buffer: the worker exits without a result instead.
+  ProcTransport transport(1, TransportTuning{});
+  Supervisor::Options opts;
+  opts.logPath = testing::TempDir() + "casvm_hostile_frame.log";
+  Supervisor supervisor(transport, opts);
+  const auto outcomes = supervisor.run([](int, int, int fd) {
+    support::ByteWriter w;
+    w.scalar('R');
+    w.scalar(~std::uint64_t{0} - 3);
+    w.pad(16);
+    const std::vector<std::byte> bytes = w.take();
+    support::writeFull(fd, bytes.data(), bytes.size());
+  });
+  ASSERT_EQ(outcomes.size(), 1u);
+  EXPECT_FALSE(outcomes[0].resolved);
+  EXPECT_NE(outcomes[0].deathReason.find("without a result"),
+            std::string::npos)
+      << outcomes[0].deathReason;
 }
 
 TEST(ProcTransportTest, KilledWorkerIsClassifiedAsCrash) {

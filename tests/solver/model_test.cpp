@@ -8,6 +8,7 @@
 #include <fstream>
 #include <span>
 
+#include "casvm/core/multiclass.hpp"
 #include "casvm/data/synth.hpp"
 #include "casvm/solver/smo.hpp"
 #include "casvm/support/error.hpp"
@@ -116,20 +117,25 @@ TEST(ModelTest, LoadGarbageFileThrows) {
   std::remove(path.c_str());
 }
 
-TEST(ModelTest, SaveOverwritesAtomicallyLeavingNoTemp) {
-  // Model::save goes through the atomic temp-file + rename helper: a second
-  // save fully replaces the first (no stale tail bytes) and the directory
-  // holds exactly the final file, no .tmp.* stragglers.
-  const std::string dir = ::testing::TempDir() + "/casvm_model_atomic";
+/// save() goes through the atomic temp-file + rename helper: a second save
+/// fully replaces the first (no stale tail bytes), the directory holds
+/// exactly the final file (no .tmp.* stragglers), and a hard link to the
+/// first file still reads the first model (the rename gave the new bytes a
+/// new inode; an in-place rewrite, which a crash can leave truncated, would
+/// have changed the linked file too).
+template <class M>
+void expectAtomicOverwrite(const M& a, const M& b, const std::string& name) {
+  const std::string dir = ::testing::TempDir() + "/casvm_" + name + "_atomic";
+  const std::string link = dir + ".first";
   std::filesystem::remove_all(dir);
+  std::filesystem::remove(link);
   std::filesystem::create_directories(dir);
   const std::string path = dir + "/model.bin";
-  const Model a = trainedModel(61);
-  const Model b = trainedModel(67);
   a.save(path);
+  std::filesystem::create_hard_link(path, link);
   b.save(path);
-  const Model back = Model::load(path);
-  EXPECT_EQ(back.pack(), b.pack());
+  EXPECT_EQ(M::load(path).pack(), b.pack());
+  EXPECT_EQ(M::load(link).pack(), a.pack());
   std::size_t entries = 0;
   for (const auto& e : std::filesystem::directory_iterator(dir)) {
     (void)e;
@@ -137,6 +143,20 @@ TEST(ModelTest, SaveOverwritesAtomicallyLeavingNoTemp) {
   }
   EXPECT_EQ(entries, 1u);
   std::filesystem::remove_all(dir);
+  std::filesystem::remove(link);
+}
+
+TEST(ModelTest, SaveOverwritesAtomicallyLeavingNoTemp) {
+  expectAtomicOverwrite(trainedModel(61), trainedModel(67), "model");
+}
+
+TEST(ModelTest, MulticlassSaveOverwritesAtomicallyLeavingNoTemp) {
+  const auto pairModel = [](std::uint64_t seed) {
+    return core::DistributedModel::single(trainedModel(seed));
+  };
+  const core::MulticlassModel a({1, 2}, {{1, 2, pairModel(61)}});
+  const core::MulticlassModel b({1, 2}, {{1, 2, pairModel(67)}});
+  expectAtomicOverwrite(a, b, "multiclass");
 }
 
 TEST(ModelTest, TruncatedPackThrows) {

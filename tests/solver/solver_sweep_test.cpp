@@ -49,6 +49,13 @@ TEST(ToleranceOrderingTest, TighterToleranceImprovesObjective) {
 class KernelFamilyTrainingTest
     : public ::testing::TestWithParam<kernel::KernelParams> {};
 
+/// In static storage so the padding gtest prints into the listed test names
+/// is zero rather than stack garbage that changes from run to run.
+const kernel::KernelParams kTrainedFamilies[] = {
+    kernel::KernelParams::linear(), kernel::KernelParams::gaussian(0.1),
+    kernel::KernelParams::polynomial(0.2, 1.0, 3),
+    kernel::KernelParams::sigmoid(0.05, -0.5)};
+
 TEST_P(KernelFamilyTrainingTest, LearnsSeparableData) {
   const auto ds = data::generateTwoGaussians(300, 5, 6.0, 77);
   SolverOptions opts;
@@ -62,10 +69,7 @@ TEST_P(KernelFamilyTrainingTest, LearnsSeparableData) {
 
 INSTANTIATE_TEST_SUITE_P(
     Families, KernelFamilyTrainingTest,
-    ::testing::Values(kernel::KernelParams::linear(),
-                      kernel::KernelParams::gaussian(0.1),
-                      kernel::KernelParams::polynomial(0.2, 1.0, 3),
-                      kernel::KernelParams::sigmoid(0.05, -0.5)),
+    ::testing::ValuesIn(kTrainedFamilies),
     [](const ::testing::TestParamInfo<kernel::KernelParams>& info) {
       return kernel::kernelName(info.param.type);
     });
