@@ -69,7 +69,8 @@ class RowWorkspace {
   std::size_t rows_ = 0;
   std::size_t cols_ = 0;
   std::vector<float> tiles_;    ///< dense: ceil(m/16) blocks of cols*16 floats
-  std::vector<double> xd_;      ///< dense: row i widened to double
+  std::vector<double> xd_;      ///< dense: up to two rows widened to double
+  std::vector<double> pair_;    ///< dense: both dot rows of a pair fill
   std::vector<float> scatter_;  ///< sparse: dense copy of row i
 };
 
@@ -109,6 +110,13 @@ class Kernel {
   /// every row accumulates serially over ascending k into one double.
   void row(const data::Dataset& ds, std::size_t i, std::span<double> out,
            RowWorkspace& ws) const;
+
+  /// Rows a and b into outA and outB, bitwise-identical to row(ds, a, outA,
+  /// ws) followed by row(ds, b, outB, ws). Dense fills score both rows in
+  /// one pass over the workspace's tiles (tile::dotMany); sparse fills make
+  /// the two single-row passes.
+  void rowPair(const data::Dataset& ds, std::size_t a, std::span<double> outA,
+               std::size_t b, std::span<double> outB, RowWorkspace& ws) const;
 
   /// Fill out[j] = K(xi, xj) for j in `subset` only; entries of `out`
   /// outside `subset` are left untouched. Lets the solver's row cache

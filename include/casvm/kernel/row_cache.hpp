@@ -19,6 +19,12 @@
 /// asserts that a captured (row, generation) pair is still the cached one —
 /// turning silent use-after-evict bugs into immediate failures.
 ///
+/// Pair fetch: first-order SMO knows both working-set rows before it
+/// fetches either, so rowPair(a, b) serves them together and, when both
+/// miss, has the source fill them in one pass (RowSource::fillRowPair).
+/// Its counters, LRU order, pins and generations are exactly those of
+/// row(a); pin(a); row(b); pin(b) — only the fills are merged.
+///
 /// While the solver is shrinking, rows can be fetched with the active index
 /// set: evicted-row refills then compute only the active entries (a partial
 /// fill), so shrunk runs stop paying full-m row computations. Partial fills
@@ -32,6 +38,7 @@
 #include <memory>
 #include <span>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "casvm/data/dataset.hpp"
@@ -68,6 +75,12 @@ class RowCache {
   /// row was last filled with (guaranteed while the solver only shrinks).
   std::span<const double> row(std::size_t i,
                               std::span<const std::size_t> active);
+
+  /// Full rows a and b, both pinned on return (unpin each when done): the
+  /// same spans, counters, LRU order, pins and generations as row(a);
+  /// pin(a); row(b); pin(b). When both rows miss they are filled together.
+  std::pair<std::span<const double>, std::span<const double>> rowPair(
+      std::size_t a, std::size_t b);
 
   /// Pin row i (must be currently cached): excluded from eviction until
   /// unpinned. Pins nest.
@@ -109,6 +122,11 @@ class RowCache {
   /// slot when at capacity, a fresh slot otherwise. The returned slot is
   /// indexed under i and moved to the front of the LRU list.
   Slot& claimSlot(std::size_t i);
+
+  /// The bookkeeping of a full-row read of i (counters, LRU order, slot
+  /// claim, generation) without the fill. Returns the slot and sets
+  /// `needsFill` when its values must still be computed.
+  Slot& lookupFull(std::size_t i, bool& needsFill);
 
   /// Backing storage for the legacy (Kernel, Dataset) constructor.
   std::unique_ptr<ExactRowSource> ownedExact_;

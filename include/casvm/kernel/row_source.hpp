@@ -14,7 +14,9 @@
 ///  - fillRow(i, out)[j], fillRowSubset(i, active, out)[j in active] and
 ///    fillDiagonal(out)[i==j] agree bitwise for the same (i, j) — a row
 ///    refilled partially after a full fill must reproduce the same values;
-///  - fills are deterministic: the same i always produces the same row.
+///  - fills are deterministic: the same i always produces the same row;
+///  - fillRowPair(a, outA, b, outB) produces exactly the rows fillRow(a,
+///    outA) and fillRow(b, outB) would.
 
 #include <cstddef>
 #include <span>
@@ -35,6 +37,16 @@ class RowSource {
 
   /// out[j] = K(i, j) for all j; out.size() == rows().
   virtual void fillRow(std::size_t i, std::span<double> out) = 0;
+
+  /// Rows a and b (a != b) in one call: the pair SMO's first-order
+  /// selection knows before it fetches either row. Sources with a
+  /// multi-query kernel fill both in one pass over their data; the default
+  /// makes the two single-row fills.
+  virtual void fillRowPair(std::size_t a, std::span<double> outA,
+                           std::size_t b, std::span<double> outB) {
+    fillRow(a, outA);
+    fillRow(b, outB);
+  }
 
   /// out[j] = K(i, j) for j in `active` only (ascending indices); entries
   /// outside `active` are left untouched.
@@ -63,6 +75,10 @@ class ExactRowSource final : public RowSource {
   std::size_t rows() const override { return ds_.rows(); }
   void fillRow(std::size_t i, std::span<double> out) override {
     kernel_.row(ds_, i, out, workspace_);
+  }
+  void fillRowPair(std::size_t a, std::span<double> outA, std::size_t b,
+                   std::span<double> outB) override {
+    kernel_.rowPair(ds_, a, outA, b, outB, workspace_);
   }
   void fillRowSubset(std::size_t i, std::span<const std::size_t> active,
                      std::span<double> out) override {

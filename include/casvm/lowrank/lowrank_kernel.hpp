@@ -30,6 +30,10 @@ class LowRankKernel final : public kernel::RowSource {
   void fillRow(std::size_t i, std::span<double> out) override {
     factor_.fillRow(i, out);
   }
+  void fillRowPair(std::size_t a, std::span<double> outA, std::size_t b,
+                   std::span<double> outB) override {
+    factor_.fillRowPair(a, outA, b, outB);
+  }
   void fillRowSubset(std::size_t i, std::span<const std::size_t> active,
                      std::span<double> out) override {
     factor_.fillRowSubset(i, active, out);

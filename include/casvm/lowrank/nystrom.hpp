@@ -69,6 +69,10 @@ class NystromFactor {
   // K̃(i,j) == K̃(j,i) bitwise: every entry is the same serial ascending-k
   // double accumulation over the float z-rows of i and j.
   void fillRow(std::size_t i, std::span<double> out);
+  /// Rows a and b in one pass over the tiles (kernel::tile::dotMany);
+  /// bitwise-identical to fillRow(a, outA) then fillRow(b, outB).
+  void fillRowPair(std::size_t a, std::span<double> outA, std::size_t b,
+                   std::span<double> outB);
   void fillRowSubset(std::size_t i, std::span<const std::size_t> active,
                      std::span<double> out);
   void fillDiagonal(std::span<double> out);
@@ -96,10 +100,13 @@ class NystromFactor {
   std::vector<double> w_;
   /// Z in 16-row k-major float tiles (blockCount(m) * r * 16 floats).
   std::vector<float> tiles_;
-  /// Widened z-row scratch for fills (length r).
+  /// Widened z-row scratch for fills (room for two rows, 2r).
   std::vector<double> xd_;
+  /// Both dot rows of a pair fill (2m, grown on first use).
+  std::vector<double> pair_;
 
-  void widenRow(std::size_t i);
+  /// z-row i widened to double into dst[0..r).
+  void widenRow(std::size_t i, double* dst) const;
 };
 
 /// Eigendecomposition of a symmetric s×s matrix by deterministic cyclic

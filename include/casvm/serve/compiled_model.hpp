@@ -9,7 +9,9 @@
 /// into the same 16-row k-major float tiling the solver's RowWorkspace
 /// uses, sparse SVs as a CSR copy — precomputes the SV self-norms, and
 /// scores whole batches of queries through the runtime-dispatched blocked
-/// tile-dot micro-kernel (kernel::tile).
+/// tile-dot micro-kernels (kernel::tile): dense batches go through
+/// tile::dotMany, so one pass over the SV tiles scores up to
+/// kernel::tile::kMaxQueries rows.
 ///
 /// Bitwise contract: decision values are bitwise-identical to the scalar
 /// path (Model::decisionFor for rows of a Dataset, Model::decision for raw
@@ -36,8 +38,8 @@ namespace casvm::serve {
 /// Reusable per-thread scratch for batch scoring; scoring allocates only
 /// on first use (buffers are grown, never shrunk).
 struct BatchScratch {
-  std::vector<double> xd;    ///< densified query (cols doubles)
-  std::vector<double> kval;  ///< per-SV kernel values for one query
+  std::vector<double> xd;    ///< densified queries (cols doubles each)
+  std::vector<double> kval;  ///< per-SV kernel values, one row per query
   // Ensemble-level scratch (routing / per-group gather):
   std::vector<std::size_t> route;      ///< per-row sub-model index
   std::vector<std::size_t> groupRows;  ///< dataset rows of one group
@@ -65,6 +67,12 @@ class CompiledSvSet {
   void dotRow(const data::Dataset& ds, std::size_t i, std::span<double> kval,
               BatchScratch& scratch) const;
 
+  /// kval[p*size() + s] = xs . query p for the queries rows[p] of `ds`: a
+  /// multi-query dotRow, one pass over dense SV tiles per
+  /// kernel::tile::kMaxQueries queries.
+  void dotRows(const data::Dataset& ds, std::span<const std::size_t> rows,
+               std::span<double> kval, BatchScratch& scratch) const;
+
   /// kval[0..size) = xs . x for a raw dense query vector.
   void dotVector(std::span<const float> x, std::span<double> kval,
                  BatchScratch& scratch) const;
@@ -73,7 +81,9 @@ class CompiledSvSet {
   std::size_t packedBytes() const;
 
  private:
-  void dotAgainstScratch(std::span<double> kval, BatchScratch& scratch) const;
+  /// kval rows for the q queries densified in scratch.xd.
+  void dotAgainstScratch(std::size_t q, std::span<double> kval,
+                         BatchScratch& scratch) const;
 
   std::size_t count_ = 0;
   std::size_t cols_ = 0;
@@ -122,6 +132,9 @@ class CompiledModel {
 
  private:
   double reduce(std::span<const double> kval) const;
+  /// Decision values of a chunk of rows through one dotRows pass.
+  void scoreChunk(const data::Dataset& ds, std::span<const std::size_t> rows,
+                  double* out, BatchScratch& scratch) const;
 
   kernel::KernelParams params_{};
   CompiledSvSet svs_;

@@ -1,5 +1,6 @@
 #include "casvm/cluster/balanced_kmeans.hpp"
 
+#include <algorithm>
 #include <cmath>
 #include <limits>
 
@@ -14,47 +15,59 @@ std::size_t ceilDiv(std::size_t a, std::size_t b) { return (a + b - 1) / b; }
 /// Algorithm 5's migration loop over one class bucket: move the farthest
 /// sample of each over-loaded center to the nearest under-loaded center.
 /// `eligible(i)` filters the samples that belong to the bucket; `quota` is
-/// the per-center capacity for that bucket; `load` its current counts.
+/// the per-center capacity for that bucket; `load` its current counts;
+/// `dist` the flat m x P distance matrix (dist[i*P + c]).
+///
+/// Algorithm 5 rescans the bucket for each move. While center j is being
+/// drained nothing moves into it (it is over quota, so never a target), so
+/// its candidates only shrink by the sample just moved: the scan picks
+/// them in one fixed order, (distance descending, index ascending) — the
+/// strict '>' of the scan keeps the first index among equal distances —
+/// and sorting once replays the same moves in O(m log m).
 template <class EligibleFn>
-std::size_t rebalanceBucket(const data::Dataset& ds,
-                            const std::vector<std::vector<double>>& dist,
+std::size_t rebalanceBucket(std::size_t m, const std::vector<double>& dist,
                             std::vector<int>& assign,
                             std::vector<std::size_t>& load,
                             const std::vector<std::size_t>& quota,
                             EligibleFn eligible) {
-  const int parts = static_cast<int>(quota.size());
+  const std::size_t p = quota.size();
   std::size_t moves = 0;
-  for (int j = 0; j < parts; ++j) {
-    const auto uj = static_cast<std::size_t>(j);
-    while (load[uj] > quota[uj]) {
-      // Farthest eligible sample still assigned to center j (lines 14-17).
-      double maxDist = -1.0;
-      std::size_t maxInd = ds.rows();
-      for (std::size_t i = 0; i < ds.rows(); ++i) {
-        if (assign[i] != j || !eligible(i)) continue;
-        if (dist[i][uj] > maxDist) {
-          maxDist = dist[i][uj];
-          maxInd = i;
-        }
+  std::vector<std::size_t> order;
+  for (std::size_t j = 0; j < p; ++j) {
+    if (load[j] <= quota[j]) continue;
+    // Farthest-first candidates of center j (lines 14-17). The scan only
+    // ever accepts distances above its -1 start, so neither does this.
+    order.clear();
+    for (std::size_t i = 0; i < m; ++i) {
+      if (assign[i] == static_cast<int>(j) && eligible(i) &&
+          dist[i * p + j] > -1.0) {
+        order.push_back(i);
       }
-      CASVM_ASSERT(maxInd < ds.rows(), "over-loaded center has no samples");
+    }
+    std::sort(order.begin(), order.end(), [&](std::size_t a, std::size_t b) {
+      const double da = dist[a * p + j], db = dist[b * p + j];
+      return da != db ? da > db : a < b;
+    });
+    for (std::size_t next = 0; load[j] > quota[j]; ++next) {
+      CASVM_ASSERT(next < order.size(), "over-loaded center has no samples");
+      const std::size_t maxInd = order[next];
+      const double* row = &dist[maxInd * p];
 
       // Nearest under-loaded center for that sample (lines 18-24).
       double minDist = std::numeric_limits<double>::infinity();
-      int minInd = -1;
-      for (int c = 0; c < parts; ++c) {
-        const auto uc = static_cast<std::size_t>(c);
-        if (load[uc] >= quota[uc]) continue;
-        if (dist[maxInd][uc] < minDist) {
-          minDist = dist[maxInd][uc];
+      std::size_t minInd = p;
+      for (std::size_t c = 0; c < p; ++c) {
+        if (load[c] >= quota[c]) continue;
+        if (row[c] < minDist) {
+          minDist = row[c];
           minInd = c;
         }
       }
-      CASVM_ASSERT(minInd >= 0, "no under-loaded center available");
+      CASVM_ASSERT(minInd < p, "no under-loaded center available");
 
-      assign[maxInd] = minInd;            // lines 25-27
-      --load[uj];
-      ++load[static_cast<std::size_t>(minInd)];
+      assign[maxInd] = static_cast<int>(minInd);  // lines 25-27
+      --load[j];
+      ++load[minInd];
       ++moves;
     }
   }
@@ -75,10 +88,10 @@ std::size_t rebalance(const data::Dataset& ds, Partition& partition,
   for (std::size_t c = 0; c < p; ++c) {
     for (float v : partition.centers[c]) centerSelf[c] += double(v) * double(v);
   }
-  std::vector<std::vector<double>> dist(m, std::vector<double>(p));
+  std::vector<double> dist(m * p);
   for (std::size_t i = 0; i < m; ++i) {
     for (std::size_t c = 0; c < p; ++c) {
-      dist[i][c] =
+      dist[i * p + c] =
           ds.squaredDistanceTo(i, partition.centers[c], centerSelf[c]);
     }
   }
@@ -88,7 +101,7 @@ std::size_t rebalance(const data::Dataset& ds, Partition& partition,
     std::vector<std::size_t> load(p, 0);
     for (int a : partition.assign) ++load[static_cast<std::size_t>(a)];
     const std::vector<std::size_t> quota(p, ceilDiv(m, p));
-    moves += rebalanceBucket(ds, dist, partition.assign, load, quota,
+    moves += rebalanceBucket(m, dist, partition.assign, load, quota,
                              [](std::size_t) { return true; });
     return moves;
   }
@@ -105,7 +118,7 @@ std::size_t rebalance(const data::Dataset& ds, Partition& partition,
     }
     if (classTotal == 0) continue;
     const std::vector<std::size_t> quota(p, ceilDiv(classTotal, p));
-    moves += rebalanceBucket(ds, dist, partition.assign, load, quota,
+    moves += rebalanceBucket(m, dist, partition.assign, load, quota,
                              [&](std::size_t i) { return ds.label(i) == cls; });
   }
   return moves;

@@ -160,9 +160,10 @@ void sparseDotRow(const data::Dataset& ds, std::size_t i,
 }  // namespace
 
 // The workspace keeps the dense matrix in the blocked k-major tiling of
-// kernel::tile (see tile_kernel.hpp); fills run through tile::dotFn(), the
-// same runtime-dispatched micro-kernel the serve engine's compiled models
-// score with.
+// kernel::tile (see tile_kernel.hpp). Single-row fills run through
+// tile::dotFn(), pair fills through tile::dotMany() — the same
+// runtime-dispatched micro-kernels the serve engine's compiled models and
+// the Nyström factor score with.
 
 void RowWorkspace::bind(const data::Dataset& ds) {
   if (bound_ == &ds && rows_ == ds.rows() && cols_ == ds.cols()) return;
@@ -171,7 +172,7 @@ void RowWorkspace::bind(const data::Dataset& ds) {
   cols_ = ds.cols();
   if (ds.storage() == data::Storage::Dense) {
     tile::pack(ds, tiles_);
-    xd_.resize(cols_);
+    xd_.resize(2 * cols_);
   } else {
     tiles_.clear();
     xd_.clear();
@@ -230,6 +231,32 @@ void Kernel::row(const data::Dataset& ds, std::size_t i, std::span<double> out,
     sparseDotRow(ds, i, out, ws.scatter_);
   }
   transformRow(ds, i, out);
+}
+
+void Kernel::rowPair(const data::Dataset& ds, std::size_t a,
+                     std::span<double> outA, std::size_t b,
+                     std::span<double> outB, RowWorkspace& ws) const {
+  CASVM_CHECK(outA.size() == ds.rows() && outB.size() == ds.rows(),
+              "kernel row output has wrong length");
+  ws.bind(ds);
+  if (ds.storage() != data::Storage::Dense) {
+    row(ds, a, outA, ws);
+    row(ds, b, outB, ws);
+    return;
+  }
+  const std::size_t m = ws.rows_, n = ws.cols_;
+  const std::span<const float> xa = ds.denseRow(a);
+  const std::span<const float> xb = ds.denseRow(b);
+  for (std::size_t k = 0; k < n; ++k) {
+    ws.xd_[k] = double(xa[k]);
+    ws.xd_[n + k] = double(xb[k]);
+  }
+  ws.pair_.resize(2 * m);
+  tile::dotMany(ws.tiles_.data(), ws.xd_.data(), 2, m, n, ws.pair_.data());
+  std::memcpy(outA.data(), ws.pair_.data(), m * sizeof(double));
+  std::memcpy(outB.data(), ws.pair_.data() + m, m * sizeof(double));
+  transformRow(ds, a, outA);
+  transformRow(ds, b, outB);
 }
 
 void Kernel::transformSubset(const data::Dataset& ds, std::size_t i,

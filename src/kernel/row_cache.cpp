@@ -48,28 +48,51 @@ RowCache::Slot& RowCache::claimSlot(std::size_t i) {
   return lru_.front();
 }
 
-std::span<const double> RowCache::row(std::size_t i) {
+RowCache::Slot& RowCache::lookupFull(std::size_t i, bool& needsFill) {
   CASVM_CHECK(i < src_->rows(), "kernel row out of range");
+  needsFill = true;
+  Slot* slot;
   if (auto it = index_.find(i); it != index_.end()) {
-    Slot& slot = *it->second;
+    slot = &*it->second;
     lru_.splice(lru_.begin(), lru_, it->second);
-    if (!slot.partial) {
+    if (!slot->partial) {
       ++hits_;
-      return slot.values;
+      needsFill = false;
+      return *slot;
     }
     // A partial fill cannot serve a full-row read: upgrade in place.
-    ++misses_;
-    src_->fillRow(i, slot.values);
-    slot.partial = false;
-    slot.generation = nextGeneration_++;
-    return slot.values;
+  } else {
+    slot = &claimSlot(i);
   }
   ++misses_;
-  Slot& slot = claimSlot(i);
-  src_->fillRow(i, slot.values);
-  slot.partial = false;
-  slot.generation = nextGeneration_++;
+  slot->partial = false;
+  slot->generation = nextGeneration_++;
+  return *slot;
+}
+
+std::span<const double> RowCache::row(std::size_t i) {
+  bool needsFill = false;
+  Slot& slot = lookupFull(i, needsFill);
+  if (needsFill) src_->fillRow(i, slot.values);
   return slot.values;
+}
+
+std::pair<std::span<const double>, std::span<const double>> RowCache::rowPair(
+    std::size_t a, std::size_t b) {
+  bool fillA = false, fillB = false;
+  Slot& slotA = lookupFull(a, fillA);
+  pin(a);
+  Slot& slotB = lookupFull(b, fillB);
+  pin(b);
+  // b == a is a hit on the second lookup, so two fills mean two rows.
+  if (fillA && fillB) {
+    src_->fillRowPair(a, slotA.values, b, slotB.values);
+  } else if (fillA) {
+    src_->fillRow(a, slotA.values);
+  } else if (fillB) {
+    src_->fillRow(b, slotB.values);
+  }
+  return {slotA.values, slotB.values};
 }
 
 std::span<const double> RowCache::row(std::size_t i,

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
 #include <numeric>
 
 #include "casvm/kernel/tile_kernel.hpp"
@@ -178,15 +179,15 @@ NystromFactor NystromFactor::buildWithLandmarks(const kernel::Kernel& kern,
           static_cast<float>(zd[j * rr + k]);
     }
   }
-  f.xd_.resize(rr);
+  f.xd_.resize(2 * rr);
   return f;
 }
 
-void NystromFactor::widenRow(std::size_t i) {
+void NystromFactor::widenRow(std::size_t i, double* dst) const {
   const std::size_t block = i / kernel::tile::kRows;
   const std::size_t lane = i % kernel::tile::kRows;
   for (std::size_t k = 0; k < r_; ++k) {
-    xd_[k] =
+    dst[k] =
         double(tiles_[(block * r_ + k) * kernel::tile::kRows + lane]);
   }
 }
@@ -194,8 +195,21 @@ void NystromFactor::widenRow(std::size_t i) {
 void NystromFactor::fillRow(std::size_t i, std::span<double> out) {
   CASVM_CHECK(i < m_, "nystrom row out of range");
   CASVM_CHECK(out.size() == m_, "nystrom row output has wrong length");
-  widenRow(i);
+  widenRow(i, xd_.data());
   kernel::tile::dotFn()(tiles_.data(), xd_.data(), m_, r_, out.data());
+}
+
+void NystromFactor::fillRowPair(std::size_t a, std::span<double> outA,
+                                std::size_t b, std::span<double> outB) {
+  CASVM_CHECK(a < m_ && b < m_, "nystrom row out of range");
+  CASVM_CHECK(outA.size() == m_ && outB.size() == m_,
+              "nystrom row output has wrong length");
+  widenRow(a, xd_.data());
+  widenRow(b, xd_.data() + r_);
+  pair_.resize(2 * m_);
+  kernel::tile::dotMany(tiles_.data(), xd_.data(), 2, m_, r_, pair_.data());
+  std::memcpy(outA.data(), pair_.data(), m_ * sizeof(double));
+  std::memcpy(outB.data(), pair_.data() + m_, m_ * sizeof(double));
 }
 
 void NystromFactor::fillRowSubset(std::size_t i,
@@ -203,7 +217,7 @@ void NystromFactor::fillRowSubset(std::size_t i,
                                   std::span<double> out) {
   CASVM_CHECK(i < m_, "nystrom row out of range");
   CASVM_CHECK(out.size() == m_, "nystrom row output has wrong length");
-  widenRow(i);
+  widenRow(i, xd_.data());
   // Serial ascending-k accumulation per row: bitwise-identical to the
   // tile-dot's per-row sum, so partial and full fills agree.
   for (std::size_t j : active) {
@@ -291,7 +305,7 @@ NystromFactor NystromFactor::decode(std::span<const std::byte> bytes) {
   f.tiles_ = in.array<float>(in.product(
       in.product(kernel::tile::blockCount(f.m_), f.r_), kernel::tile::kRows));
   in.expectEnd();
-  f.xd_.resize(f.r_);
+  f.xd_.resize(2 * f.r_);
   return f;
 }
 

@@ -8,6 +8,15 @@
 
 namespace casvm::serve {
 
+namespace {
+
+/// Rows scored per dotRows call: several multi-query passes' worth, so
+/// tile::dotMany can size the passes evenly (10 rows: 4 + 3 + 3) while the
+/// per-chunk kernel values stay a few hundred KiB.
+constexpr std::size_t kChunk = 4 * kernel::tile::kMaxQueries;
+
+}  // namespace
+
 CompiledSvSet::CompiledSvSet(const data::Dataset& svs)
     : count_(svs.rows()), cols_(svs.cols()),
       dense_(svs.storage() == data::Storage::Dense) {
@@ -36,43 +45,56 @@ std::size_t CompiledSvSet::packedBytes() const {
          selfDots_.size() * sizeof(double);
 }
 
-void CompiledSvSet::dotAgainstScratch(std::span<double> kval,
+void CompiledSvSet::dotAgainstScratch(std::size_t q, std::span<double> kval,
                                       BatchScratch& scratch) const {
   if (dense_) {
-    kernel::tile::dotFn()(tiles_.data(), scratch.xd.data(), count_, cols_,
+    kernel::tile::dotMany(tiles_.data(), scratch.xd.data(), q, count_, cols_,
                           kval.data());
     return;
   }
-  // CSR scatter: the query sits densified in scratch.xd; each SV streams
+  // CSR scatter: each query sits densified in scratch.xd; each SV streams
   // its nonzeros against it in ascending-column order, which is
   // bitwise-identical to Dataset::dotWith / the sparse-sparse merge join
   // (zero products never perturb the running sum).
-  for (std::size_t s = 0; s < count_; ++s) {
-    double acc = 0.0;
-    for (std::size_t p = rowPtr_[s]; p < rowPtr_[s + 1]; ++p) {
-      acc += double(vals_[p]) * scratch.xd[colIdx_[p]];
+  for (std::size_t p = 0; p < q; ++p) {
+    const double* xd = scratch.xd.data() + p * cols_;
+    double* out = kval.data() + p * count_;
+    for (std::size_t s = 0; s < count_; ++s) {
+      double acc = 0.0;
+      for (std::size_t e = rowPtr_[s]; e < rowPtr_[s + 1]; ++e) {
+        acc += double(vals_[e]) * xd[colIdx_[e]];
+      }
+      out[s] = acc;
     }
-    kval[s] = acc;
   }
 }
 
 void CompiledSvSet::dotRow(const data::Dataset& ds, std::size_t i,
                            std::span<double> kval,
                            BatchScratch& scratch) const {
+  dotRows(ds, std::span<const std::size_t>(&i, 1), kval, scratch);
+}
+
+void CompiledSvSet::dotRows(const data::Dataset& ds,
+                            std::span<const std::size_t> rows,
+                            std::span<double> kval,
+                            BatchScratch& scratch) const {
   CASVM_CHECK(ds.cols() == cols_, "query feature count differs from SVs");
-  CASVM_CHECK(kval.size() >= count_, "kernel value buffer too small");
-  scratch.xd.assign(cols_, 0.0);
-  if (ds.storage() == data::Storage::Dense) {
-    const std::span<const float> r = ds.denseRow(i);
-    for (std::size_t k = 0; k < cols_; ++k) scratch.xd[k] = double(r[k]);
-  } else {
-    const auto idx = ds.sparseIndices(i);
-    const auto val = ds.sparseValues(i);
-    for (std::size_t p = 0; p < idx.size(); ++p) {
-      scratch.xd[idx[p]] = double(val[p]);
+  CASVM_CHECK(kval.size() >= rows.size() * count_,
+              "kernel value buffer too small");
+  scratch.xd.assign(rows.size() * cols_, 0.0);
+  for (std::size_t p = 0; p < rows.size(); ++p) {
+    double* xd = scratch.xd.data() + p * cols_;
+    if (ds.storage() == data::Storage::Dense) {
+      const std::span<const float> r = ds.denseRow(rows[p]);
+      for (std::size_t k = 0; k < cols_; ++k) xd[k] = double(r[k]);
+    } else {
+      const auto idx = ds.sparseIndices(rows[p]);
+      const auto val = ds.sparseValues(rows[p]);
+      for (std::size_t e = 0; e < idx.size(); ++e) xd[idx[e]] = double(val[e]);
     }
   }
-  dotAgainstScratch(kval, scratch);
+  dotAgainstScratch(rows.size(), kval, scratch);
 }
 
 void CompiledSvSet::dotVector(std::span<const float> x, std::span<double> kval,
@@ -81,7 +103,7 @@ void CompiledSvSet::dotVector(std::span<const float> x, std::span<double> kval,
   CASVM_CHECK(kval.size() >= count_, "kernel value buffer too small");
   scratch.xd.resize(cols_);
   for (std::size_t k = 0; k < cols_; ++k) scratch.xd[k] = double(x[k]);
-  dotAgainstScratch(kval, scratch);
+  dotAgainstScratch(1, kval, scratch);
 }
 
 void transformDots(const kernel::KernelParams& params, const CompiledSvSet& svs,
@@ -126,6 +148,19 @@ double CompiledModel::reduce(std::span<const double> kval) const {
   return acc;
 }
 
+void CompiledModel::scoreChunk(const data::Dataset& ds,
+                               std::span<const std::size_t> rows, double* out,
+                               BatchScratch& scratch) const {
+  const std::size_t count = svs_.size();
+  scratch.kval.resize(rows.size() * count);
+  svs_.dotRows(ds, rows, scratch.kval, scratch);
+  for (std::size_t p = 0; p < rows.size(); ++p) {
+    const std::span<double> kval(scratch.kval.data() + p * count, count);
+    transformDots(params_, svs_, ds.selfDot(rows[p]), kval);
+    out[p] = reduce(kval);
+  }
+}
+
 void CompiledModel::decisionBatch(const data::Dataset& ds,
                                   std::span<const std::size_t> rows,
                                   std::span<double> out,
@@ -135,12 +170,9 @@ void CompiledModel::decisionBatch(const data::Dataset& ds,
     for (std::size_t j = 0; j < rows.size(); ++j) out[j] = bias_;
     return;
   }
-  scratch.kval.resize(svs_.size());
-  for (std::size_t j = 0; j < rows.size(); ++j) {
-    const std::size_t i = rows[j];
-    svs_.dotRow(ds, i, scratch.kval, scratch);
-    transformDots(params_, svs_, ds.selfDot(i), scratch.kval);
-    out[j] = reduce(scratch.kval);
+  for (std::size_t j = 0; j < rows.size(); j += kChunk) {
+    const std::size_t q = std::min(kChunk, rows.size() - j);
+    scoreChunk(ds, rows.subspan(j, q), out.data() + j, scratch);
   }
 }
 
@@ -151,11 +183,12 @@ void CompiledModel::decisionAll(const data::Dataset& ds, std::span<double> out,
     for (std::size_t i = 0; i < ds.rows(); ++i) out[i] = bias_;
     return;
   }
-  scratch.kval.resize(svs_.size());
-  for (std::size_t i = 0; i < ds.rows(); ++i) {
-    svs_.dotRow(ds, i, scratch.kval, scratch);
-    transformDots(params_, svs_, ds.selfDot(i), scratch.kval);
-    out[i] = reduce(scratch.kval);
+  std::size_t rows[kChunk];
+  for (std::size_t i = 0; i < ds.rows(); i += kChunk) {
+    const std::size_t q = std::min(kChunk, ds.rows() - i);
+    for (std::size_t p = 0; p < q; ++p) rows[p] = i + p;
+    scoreChunk(ds, std::span<const std::size_t>(rows, q), out.data() + i,
+               scratch);
   }
 }
 

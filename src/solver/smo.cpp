@@ -4,6 +4,7 @@
 #include <cmath>
 #include <limits>
 #include <numeric>
+#include <tuple>
 
 #include "casvm/kernel/row_cache.hpp"
 #include "casvm/obs/trace.hpp"
@@ -238,10 +239,22 @@ SolverResult SmoSolver::solve(const data::Dataset& ds,
           lookups > 0.0 ? hits / lookups : 0.0);
     }
 
-    const std::span<const double> rowHigh = fetchRow(iHigh);
     // Pin the rows backing the spans held across this iteration, so the
     // second fetch (and any refill) can never recycle their storage.
-    cache.pin(iHigh);
+    // First-order selection already knows iLow, so over the full problem
+    // both rows come from one pair fetch (pinned on return), which fills
+    // two missing rows in one pass. Shrunk runs keep the one-row path
+    // (their fills may be partial) and second-order selection needs
+    // rowHigh before it can pick iLow.
+    const bool pairFetch = options_.selection == Selection::FirstOrder &&
+                           active.size() == m;
+    std::span<const double> rowHigh, rowLow;
+    if (pairFetch) {
+      std::tie(rowHigh, rowLow) = cache.rowPair(iHigh, iLow);
+    } else {
+      rowHigh = fetchRow(iHigh);
+      cache.pin(iHigh);
+    }
     const std::uint64_t genHigh = cache.generation(iHigh);
 
     if (options_.selection == Selection::SecondOrder) {
@@ -266,8 +279,10 @@ SolverResult SmoSolver::solve(const data::Dataset& ds,
       if (bestJ < m) iLow = bestJ;
     }
 
-    const std::span<const double> rowLow = fetchRow(iLow);
-    cache.pin(iLow);
+    if (!pairFetch) {
+      rowLow = fetchRow(iLow);
+      cache.pin(iLow);
+    }
     const std::uint64_t genLow = cache.generation(iLow);
 
     const std::int8_t yHigh = ds.label(iHigh);

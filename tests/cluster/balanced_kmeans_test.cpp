@@ -2,7 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <numeric>
+#include <vector>
 
 #include "casvm/data/synth.hpp"
 #include "casvm/support/error.hpp"
@@ -130,6 +132,138 @@ TEST_P(DistributedBkmTest, LocalBlocksBalanced) {
     EXPECT_GE(g, balanced - static_cast<std::size_t>(P));
     EXPECT_LE(g, balanced + static_cast<std::size_t>(P));
   }
+}
+
+// --- Rebalance equivalence -------------------------------------------------
+
+/// Algorithm 5's migration exactly as first written: one full rescan of
+/// the bucket per move over an m-vector of P-vectors. balancedKmeans drains
+/// each over-loaded center from one sorted list instead; this is the
+/// reference it must replay move for move.
+std::size_t scanRebalance(const data::Dataset& ds, Partition& partition,
+                          bool ratioBalanced) {
+  const int parts = partition.parts;
+  const auto p = static_cast<std::size_t>(parts);
+  const std::size_t m = ds.rows();
+  std::vector<double> centerSelf(p, 0.0);
+  for (std::size_t c = 0; c < p; ++c) {
+    for (float v : partition.centers[c]) centerSelf[c] += double(v) * double(v);
+  }
+  std::vector<std::vector<double>> dist(m, std::vector<double>(p));
+  for (std::size_t i = 0; i < m; ++i) {
+    for (std::size_t c = 0; c < p; ++c) {
+      dist[i][c] = ds.squaredDistanceTo(i, partition.centers[c], centerSelf[c]);
+    }
+  }
+  auto bucket = [&](std::vector<std::size_t>& load,
+                    const std::vector<std::size_t>& quota, auto eligible) {
+    std::size_t moves = 0;
+    for (int j = 0; j < parts; ++j) {
+      const auto uj = static_cast<std::size_t>(j);
+      while (load[uj] > quota[uj]) {
+        double maxDist = -1.0;
+        std::size_t maxInd = m;
+        for (std::size_t i = 0; i < m; ++i) {
+          if (partition.assign[i] != j || !eligible(i)) continue;
+          if (dist[i][uj] > maxDist) {
+            maxDist = dist[i][uj];
+            maxInd = i;
+          }
+        }
+        double minDist = std::numeric_limits<double>::infinity();
+        int minInd = -1;
+        for (int c = 0; c < parts; ++c) {
+          const auto uc = static_cast<std::size_t>(c);
+          if (load[uc] >= quota[uc]) continue;
+          if (dist[maxInd][uc] < minDist) {
+            minDist = dist[maxInd][uc];
+            minInd = c;
+          }
+        }
+        partition.assign[maxInd] = minInd;
+        --load[uj];
+        ++load[static_cast<std::size_t>(minInd)];
+        ++moves;
+      }
+    }
+    return moves;
+  };
+  if (!ratioBalanced) {
+    std::vector<std::size_t> load(p, 0);
+    for (int a : partition.assign) ++load[static_cast<std::size_t>(a)];
+    const std::vector<std::size_t> quota(p, ceilDiv(m, p));
+    return bucket(load, quota, [](std::size_t) { return true; });
+  }
+  std::size_t moves = 0;
+  for (const std::int8_t cls : {std::int8_t{1}, std::int8_t{-1}}) {
+    std::vector<std::size_t> load(p, 0);
+    std::size_t classTotal = 0;
+    for (std::size_t i = 0; i < m; ++i) {
+      if (ds.label(i) == cls) {
+        ++load[static_cast<std::size_t>(partition.assign[i])];
+        ++classTotal;
+      }
+    }
+    if (classTotal == 0) continue;
+    const std::vector<std::size_t> quota(p, ceilDiv(classTotal, p));
+    moves += bucket(load, quota,
+                    [&](std::size_t i) { return ds.label(i) == cls; });
+  }
+  return moves;
+}
+
+/// balancedKmeans against K-means + the reference scan, for both variants.
+void expectRebalanceMatchesScan(const data::Dataset& ds, int parts,
+                                std::uint64_t seed) {
+  for (const bool ratio : {false, true}) {
+    BalancedKMeansOptions opts;
+    opts.parts = parts;
+    opts.ratioBalanced = ratio;
+    opts.recomputeCenters = false;
+    opts.seed = seed;
+    const BalancedKMeansResult fast = balancedKmeans(ds, opts);
+
+    KMeansOptions km;
+    km.clusters = parts;
+    km.maxLoops = opts.maxKmeansLoops;
+    km.changeThreshold = opts.kmeansChangeThreshold;
+    km.seed = seed;
+    Partition ref = kmeans(ds, km).partition;
+    const std::size_t refMoves = scanRebalance(ds, ref, ratio);
+    EXPECT_GT(refMoves, 0u) << "ratio " << ratio << ": nothing rebalanced";
+    EXPECT_EQ(fast.moves, refMoves) << "ratio " << ratio;
+    EXPECT_EQ(fast.partition.assign, ref.assign) << "ratio " << ratio;
+  }
+}
+
+TEST(BalancedKMeansRebalanceTest, MatchesScanOnRandomInputs) {
+  for (std::uint64_t seed : {3, 11, 29}) {
+    for (int parts : {3, 5, 8}) {
+      expectRebalanceMatchesScan(clusteredData(397, seed, 0.3), parts, seed);
+    }
+  }
+}
+
+TEST(BalancedKMeansRebalanceTest, MatchesScanWithTiedDistances) {
+  // Five distinct points, each repeated with alternating labels and
+  // unequal multiplicities: every over-loaded center holds runs of
+  // samples at exactly equal distance, so only the index tie-break
+  // decides which of them moves first.
+  const std::vector<std::vector<float>> points = {
+      {0, 0}, {0, 1}, {5, 5}, {5, 6}, {9, 0}};
+  const std::vector<std::size_t> repeats = {90, 7, 60, 5, 38};
+  std::vector<float> values;
+  std::vector<std::int8_t> labels;
+  for (std::size_t r = 0; r < 90; ++r) {
+    for (std::size_t p = 0; p < points.size(); ++p) {
+      if (r >= repeats[p]) continue;
+      values.insert(values.end(), points[p].begin(), points[p].end());
+      labels.push_back((r + p) % 3 == 0 ? -1 : 1);
+    }
+  }
+  const data::Dataset ds =
+      data::Dataset::fromDense(2, std::move(values), std::move(labels));
+  for (int parts : {3, 4, 6}) expectRebalanceMatchesScan(ds, parts, 42);
 }
 
 INSTANTIATE_TEST_SUITE_P(RankCounts, DistributedBkmTest,

@@ -2,8 +2,14 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
+#include <string>
+#include <vector>
+
 #include "casvm/data/synth.hpp"
 #include "casvm/support/error.hpp"
+#include "casvm/support/rng.hpp"
 
 namespace casvm::kernel {
 namespace {
@@ -201,6 +207,170 @@ TEST(RowCacheTest, InvalidatePartialDropsOnlyPartialRows) {
   const auto row = cache.row(5, grown);
   for (std::size_t j : grown) {
     EXPECT_DOUBLE_EQ(row[j], k.eval(ds, 5, j));
+  }
+}
+
+// --- Pair fetch ---------------------------------------------------------
+
+std::uint64_t bits(double d) { return std::bit_cast<std::uint64_t>(d); }
+
+/// Counts fills and forwards them to the exact kernel.
+class CountingSource final : public RowSource {
+ public:
+  CountingSource(const Kernel& k, const data::Dataset& ds) : exact_(k, ds) {}
+  std::size_t rows() const override { return exact_.rows(); }
+  void fillRow(std::size_t i, std::span<double> out) override {
+    ++singleFills;
+    exact_.fillRow(i, out);
+  }
+  void fillRowPair(std::size_t a, std::span<double> outA, std::size_t b,
+                   std::span<double> outB) override {
+    ++pairFills;
+    exact_.fillRowPair(a, outA, b, outB);
+  }
+  void fillRowSubset(std::size_t i, std::span<const std::size_t> active,
+                     std::span<double> out) override {
+    exact_.fillRowSubset(i, active, out);
+  }
+  void fillDiagonal(std::span<double> out) override {
+    exact_.fillDiagonal(out);
+  }
+  bool preferFullFill(std::size_t activeCount) const override {
+    return exact_.preferFullFill(activeCount);
+  }
+
+  std::size_t singleFills = 0;
+  std::size_t pairFills = 0;
+
+ private:
+  ExactRowSource exact_;
+};
+
+/// Every observable of the cache: counters plus, per row, its generation
+/// (0 when not cached) — the set of cached rows after a run of fetches
+/// pins down the eviction order.
+void expectSameState(const RowCache& pair, const RowCache& seq,
+                     std::size_t rows, const std::string& where) {
+  ASSERT_EQ(pair.hits(), seq.hits()) << where;
+  ASSERT_EQ(pair.misses(), seq.misses()) << where;
+  ASSERT_EQ(pair.pinnedRows(), seq.pinnedRows()) << where;
+  ASSERT_EQ(pair.partialFills(), seq.partialFills()) << where;
+  for (std::size_t i = 0; i < rows; ++i) {
+    ASSERT_EQ(pair.generation(i), seq.generation(i)) << where << " row " << i;
+  }
+}
+
+/// Random fetch sequence under eviction pressure: rowPair on one cache,
+/// row(a); pin(a); row(b); pin(b) on another, with long-lived pins and
+/// partial fills mixed in. Values, counters, pins, generations and the
+/// cached set must agree after every step.
+void pairFetchMatchesSequential(const data::Dataset& ds) {
+  const Kernel k(KernelParams::gaussian(0.4));
+  const std::size_t m = ds.rows();
+  const std::size_t budget = 5 * m * sizeof(double);
+  ExactRowSource srcPair(k, ds), srcSeq(k, ds);
+  RowCache pair(srcPair, budget), seq(srcSeq, budget);
+  ASSERT_EQ(pair.capacityRows(), 5u);
+  Rng rng(99);
+  std::vector<std::size_t> held;  // rows pinned across steps, on both
+  const std::vector<std::size_t> active = {1, 2, 3};  // partial: 3*4 < m
+  for (int step = 0; step < 400; ++step) {
+    const std::string where = "step " + std::to_string(step);
+    const std::size_t a = rng.below(m);
+    const std::size_t b = rng.below(8) == 0 ? a : rng.below(m);
+    if (rng.below(10) == 0) {
+      // A partial fill that a later full read must upgrade.
+      (void)pair.row(a, active);
+      (void)seq.row(a, active);
+      expectSameState(pair, seq, m, where);
+      continue;
+    }
+    const auto [rowA, rowB] = pair.rowPair(a, b);
+    const auto seqA = seq.row(a);
+    seq.pin(a);
+    const auto seqB = seq.row(b);
+    seq.pin(b);
+    expectSameState(pair, seq, m, where);
+    for (std::size_t j = 0; j < m; ++j) {
+      ASSERT_EQ(bits(rowA[j]), bits(seqA[j])) << where;
+      ASSERT_EQ(bits(rowB[j]), bits(seqB[j])) << where;
+      ASSERT_EQ(bits(rowA[j]), bits(k.eval(ds, a, j))) << where;
+      ASSERT_EQ(bits(rowB[j]), bits(k.eval(ds, b, j))) << where;
+    }
+    // Usually release the pair; sometimes keep one row pinned for a while.
+    for (std::size_t r : {a, b}) {
+      if (rng.below(6) == 0 && held.size() < 4) {
+        held.push_back(r);
+      } else {
+        pair.unpin(r);
+        seq.unpin(r);
+      }
+    }
+    if (!held.empty() && rng.below(3) == 0) {
+      pair.unpin(held.front());
+      seq.unpin(held.front());
+      held.erase(held.begin());
+    }
+    expectSameState(pair, seq, m, where);
+  }
+}
+
+TEST(RowCachePairTest, DenseMatchesSequentialFetches) {
+  pairFetchMatchesSequential(makeData(40));
+}
+
+TEST(RowCachePairTest, SparseMatchesSequentialFetches) {
+  data::MixtureSpec spec;
+  spec.samples = 40;
+  spec.features = 30;
+  spec.sparsity = 0.7;
+  spec.sparseOutput = true;
+  spec.seed = 23;
+  const auto ds = data::generateMixture(spec);
+  ASSERT_EQ(ds.storage(), data::Storage::Sparse);
+  pairFetchMatchesSequential(ds);
+}
+
+TEST(RowCachePairTest, BothMissesFillInOnePass) {
+  const auto ds = makeData(40);
+  const Kernel k(KernelParams::gaussian(0.4));
+  CountingSource src(k, ds);
+  RowCache cache(src, 1 << 20);
+  (void)cache.rowPair(3, 7);  // both miss: one pair fill
+  EXPECT_EQ(src.pairFills, 1u);
+  EXPECT_EQ(src.singleFills, 0u);
+  cache.unpin(3);
+  cache.unpin(7);
+  (void)cache.rowPair(7, 9);  // one miss: a single fill
+  EXPECT_EQ(src.pairFills, 1u);
+  EXPECT_EQ(src.singleFills, 1u);
+  cache.unpin(7);
+  cache.unpin(9);
+  (void)cache.rowPair(11, 11);  // same row twice: a miss, then a hit
+  EXPECT_EQ(src.singleFills, 2u);
+  EXPECT_EQ(cache.pinnedRows(), 1u);
+  cache.unpin(11);
+  cache.unpin(11);
+  EXPECT_EQ(cache.misses(), 4u);
+  EXPECT_EQ(cache.hits(), 2u);
+}
+
+TEST(RowCachePairTest, KernelRowPairMatchesTwoRowFills) {
+  const auto ds = makeData(37);  // 37 rows: a tail block of 5
+  for (const KernelParams& params :
+       {KernelParams::linear(), KernelParams::polynomial(0.5, 1.0, 3),
+        KernelParams::gaussian(0.4), KernelParams::sigmoid(0.01, -0.1)}) {
+    const Kernel k(params);
+    RowWorkspace ws;
+    std::vector<double> a(ds.rows()), b(ds.rows()), ra(ds.rows()),
+        rb(ds.rows());
+    k.rowPair(ds, 4, a, 36, b, ws);
+    k.row(ds, 4, ra, ws);
+    k.row(ds, 36, rb, ws);
+    for (std::size_t j = 0; j < ds.rows(); ++j) {
+      ASSERT_EQ(bits(a[j]), bits(ra[j])) << j;
+      ASSERT_EQ(bits(b[j]), bits(rb[j])) << j;
+    }
   }
 }
 

@@ -22,10 +22,13 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <cstring>
 #include <ostream>
 #include <random>
+#include <utility>
 #include <vector>
 
 #include "casvm/core/train.hpp"
@@ -232,6 +235,26 @@ TEST(NystromTest, FillsAgreeBitwiseAndMatrixIsSymmetric) {
   for (std::size_t i = 0; i < m; ++i) {
     for (std::size_t j = i + 1; j < m; ++j) {
       ASSERT_EQ(rows[i][j], rows[j][i]) << i << "," << j;
+    }
+  }
+}
+
+TEST(NystromTest, PairFillMatchesTwoRowFillsBitwise) {
+  const data::Dataset ds = makeData(false, 203);  // tail block of 11 rows
+  const kernel::Kernel kern(kernel::KernelParams::gaussian(0.5));
+  LowRankKernel source(buildFactor(ds, kern));
+  const std::size_t m = ds.rows();
+  std::vector<double> a(m), b(m), ra(m), rb(m);
+  for (const auto& [i, j] : {std::pair<std::size_t, std::size_t>{0, 1},
+                             {202, 5}, {17, 160}}) {
+    source.fillRowPair(i, a, j, b);
+    source.fillRow(i, ra);
+    source.fillRow(j, rb);
+    for (std::size_t k = 0; k < m; ++k) {
+      ASSERT_EQ(std::bit_cast<std::uint64_t>(a[k]),
+                std::bit_cast<std::uint64_t>(ra[k])) << i << "," << k;
+      ASSERT_EQ(std::bit_cast<std::uint64_t>(b[k]),
+                std::bit_cast<std::uint64_t>(rb[k])) << j << "," << k;
     }
   }
 }

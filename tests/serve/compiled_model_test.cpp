@@ -190,6 +190,45 @@ TEST(CompiledEnsembleTest, SingleModelDecisionsBitwiseMatchScalar) {
   }
 }
 
+// Dense batches are scored through the multi-query tile kernel, which
+// splits them into passes of up to four queries (9 rows: 3 + 3 + 3). Every
+// batch size from 1 to 9 must give each row the bits a lone decision()
+// gives it, routed or not, with rows repeated and out of order.
+TEST(CompiledEnsembleTest, DecisionBatchMatchesDecisionForBatchSizes1To9) {
+  const data::Dataset all = denseData(200, 59);
+  const data::Dataset testSet = denseData(40, 61);
+  const auto params = kernel::KernelParams::gaussian(0.3);
+  const core::DistributedModel routed = routedModel(all, params);
+  const core::DistributedModel single =
+      core::DistributedModel::single(train(all, params));
+  for (const core::DistributedModel* model : {&routed, &single}) {
+    const CompiledDistributedModel compiled =
+        CompiledDistributedModel::compile(*model);
+    ASSERT_EQ(compiled.isRouted(), model == &routed);
+    const CompiledModel& first = compiled.model(0);
+    BatchScratch scratch;
+    for (std::size_t batch = 1; batch <= 9; ++batch) {
+      std::vector<std::size_t> rows(batch);
+      for (std::size_t j = 0; j < batch; ++j) {
+        rows[j] = (7 * j + batch) % testSet.rows();
+      }
+      if (batch > 2) rows[batch - 1] = rows[0];  // a repeated row
+      std::vector<double> out(batch), outFirst(batch);
+      compiled.decisionBatch(testSet, rows, out, scratch);
+      first.decisionBatch(testSet, rows, outFirst, scratch);
+      for (std::size_t j = 0; j < batch; ++j) {
+        const auto x = testSet.denseRow(rows[j]);
+        ASSERT_EQ(bits(out[j]), bits(compiled.decision(x, scratch)))
+            << "batch " << batch << " row " << j;
+        ASSERT_EQ(bits(out[j]), bits(model->decisionFor(testSet, rows[j])))
+            << "batch " << batch << " row " << j;
+        ASSERT_EQ(bits(outFirst[j]), bits(first.decision(x, scratch)))
+            << "batch " << batch << " row " << j;
+      }
+    }
+  }
+}
+
 data::MulticlassData fourClasses(std::size_t samples, std::uint64_t seed) {
   data::MixtureSpec spec;
   spec.samples = samples;
